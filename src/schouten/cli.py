@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
 from . import __version__
-from .dsl import SourceDocument, parse
+from .dsl import CHECK_KINDS, SourceDocument, parse
 from .fields import Chart, DifferentialForm, MultiVectorField
 from .models import (
     FIXTURE_NAMES,
@@ -194,6 +194,10 @@ def _document_checks(env: _Environment) -> list[CheckReport]:
 
 
 def _run_named_check(env: _Environment, kind: str, names, label: str) -> CheckReport:
+    if kind in CHECK_KINDS and len(names) != CHECK_KINDS[kind]:
+        raise ValueError(
+            f"check {kind} takes {CHECK_KINDS[kind]} field name(s), got {len(names)}"
+        )
     fields = [env.resolve_field(n) for n in names]
     if kind == "poisson":
         return is_poisson(fields[0], label)
@@ -331,12 +335,16 @@ def main(argv=None) -> int:
         for diagnostic in failure.doc.diagnostics:
             print(diagnostic.render(failure.filename), file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except (KeyError, ValueError, PreconditionError) as exc:
+    except (KeyError, ValueError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
     text = emit_json(report) if config.format == "json" else emit_text(report)
     if config.output:
-        Path(config.output).write_text(text, encoding="utf-8")
+        try:
+            Path(config.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL_ERROR
     else:
         sys.stdout.write(text)
     return exit_code

@@ -12,6 +12,7 @@ first compare total degree, then the exponent tuple lexicographically.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -258,24 +259,52 @@ def poly_arith(a: MultiPoly, b: MultiPoly, op: str) -> MultiPoly:
 
 
 def exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly:
-    """Exact polynomial division; raises if d does not divide p."""
+    """Exact polynomial division; raises if d does not divide p.
+
+    The remainder is one dict updated in place: each quotient term q
+    removes the remainder's leading term and subtracts q * (d - lt(d)).
+    Every subtracted term lies below the removed one in graded lex order,
+    so a heap of pending exponents yields the leading terms in turn.
+    """
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if p.is_zero():
         return MultiPoly.zero(p.nvars)
     p._check_compatible(d)
     d_exps, d_coeff = d.leading_term()
+    d_tail = [(exps, coeff) for exps, coeff in d.terms.items() if exps != d_exps]
+    rem = dict(p.terms)
+    pending = [(_descending_key(exps), exps) for exps in rem]
+    heapq.heapify(pending)
     quotient: dict[tuple[int, ...], Fraction] = {}
-    rem = p
-    while not rem.is_zero():
-        r_exps, r_coeff = rem.leading_term()
+    while rem:
+        r_exps = heapq.heappop(pending)[1]
+        r_coeff = rem.pop(r_exps, None)
+        if r_coeff is None:
+            continue  # cancelled, or a duplicate heap entry
         q_exps = tuple(a - b for a, b in zip(r_exps, d_exps))
         if any(e < 0 for e in q_exps):
             raise ValueError("polynomial division is not exact")
         q_coeff = r_coeff / d_coeff
-        quotient[q_exps] = quotient.get(q_exps, Fraction(0)) + q_coeff
-        rem = rem - MultiPoly(p.nvars, {q_exps: q_coeff}) * d
+        quotient[q_exps] = q_coeff
+        for t_exps, t_coeff in d_tail:
+            exps = tuple(a + b for a, b in zip(q_exps, t_exps))
+            acc = rem.get(exps)
+            if acc is None:
+                rem[exps] = -q_coeff * t_coeff
+                heapq.heappush(pending, (_descending_key(exps), exps))
+            else:
+                acc -= q_coeff * t_coeff
+                if acc:
+                    rem[exps] = acc
+                else:
+                    del rem[exps]
     return MultiPoly(p.nvars, quotient)
+
+
+def _descending_key(exps: tuple[int, ...]) -> tuple:
+    """Heap key that pops exponents in decreasing graded lex order."""
+    return (-sum(exps), tuple(-e for e in exps))
 
 
 def _rational_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -401,7 +430,7 @@ class RationalFn:
 
     @classmethod
     def zero(cls, nvars: int) -> "RationalFn":
-        return cls(MultiPoly.zero(nvars))
+        return cls(MultiPoly.zero(nvars), _canonical=True)
 
     @classmethod
     def constant(cls, nvars: int, value) -> "RationalFn":
@@ -409,7 +438,7 @@ class RationalFn:
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "RationalFn":
-        return cls(MultiPoly.variable(nvars, index))
+        return cls(MultiPoly.variable(nvars, index), _canonical=True)
 
     @property
     def nvars(self) -> int:
@@ -431,6 +460,18 @@ class RationalFn:
 
     def __add__(self, other) -> "RationalFn":
         other = _coerce(other, self.nvars)
+        if self.den == other.den:
+            # an integer polynomial over 1 is canonical as it stands
+            return RationalFn(
+                self.num + other.num, self.den, _canonical=_is_one(self.den)
+            )
+        if _is_one(self.den) or _is_one(other.den):
+            # a + c/d = (a*d + c)/d shares no factor or content with d,
+            # because c/d does not
+            poly, frac = (self, other) if _is_one(self.den) else (other, self)
+            return RationalFn(
+                poly.num * frac.den + frac.num, frac.den, _canonical=True
+            )
         return RationalFn(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -448,7 +489,20 @@ class RationalFn:
 
     def __mul__(self, other) -> "RationalFn":
         other = _coerce(other, self.nvars)
-        return RationalFn(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if _is_one(b) and _is_one(d):
+            return RationalFn(a * c, b, _canonical=True)
+        if a.is_zero() or c.is_zero():
+            return RationalFn.zero(self.nvars)
+        # Henrici: cancel the cross gcds before multiplying, so that
+        # (a/b)(c/d) = (a/g1)(c/g2) / ((b/g2)(d/g1)) is reduced
+        g1 = poly_gcd(a, d)
+        if not g1.is_constant():
+            a, d = exact_div(a, g1), exact_div(d, g1)
+        g2 = poly_gcd(c, b)
+        if not g2.is_constant():
+            c, b = exact_div(c, g2), exact_div(b, g2)
+        return RationalFn(*_rescale(a * c, b * d), _canonical=True)
 
     __rmul__ = __mul__
 
@@ -464,7 +518,9 @@ class RationalFn:
     def __pow__(self, n: int) -> "RationalFn":
         if n < 0:
             return RationalFn.constant(self.nvars, 1) / self ** (-n)
-        return RationalFn(self.num**n, self.den**n)
+        # a^n and b^n stay coprime, and by Gauss's lemma their joint
+        # content is the n-th power of a joint content of 1
+        return RationalFn(self.num**n, self.den**n, _canonical=True)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -483,11 +539,27 @@ class RationalFn:
     def derivative(self, var: int) -> "RationalFn":
         """Exact partial derivative (quotient rule)."""
         if self.is_polynomial():
-            return RationalFn(self.num.derivative(var), self.den)
-        return RationalFn(
-            self.num.derivative(var) * self.den - self.num * self.den.derivative(var),
-            self.den * self.den,
-        )
+            return RationalFn(
+                self.num.derivative(var), self.den, _canonical=_is_one(self.den)
+            )
+        a, b = self.num, self.den
+        db = b.derivative(var)
+        if db.is_zero():
+            return RationalFn(a.derivative(var), b)
+        # With g = gcd(b, b'), b = g*u and b' = g*v, the quotient rule gives
+        # (a'u - av) / (b*u).  The numerator is coprime to u, since a and v
+        # both are, so only a factor of the small g can still cancel.
+        g = poly_gcd(b, db)
+        u, v = exact_div(b, g), exact_div(db, g)
+        num = a.derivative(var) * u - a * v
+        if num.is_zero():
+            return RationalFn.zero(self.nvars)
+        h = poly_gcd(num, g)
+        if h.is_constant():
+            den = b * u
+        else:
+            num, den = exact_div(num, h), exact_div(g, h) * u * u
+        return RationalFn(*_rescale(num, den), _canonical=True)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         den = self.den.evaluate(point)
@@ -533,11 +605,25 @@ def _normalize(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     if not g.is_constant():
         num = exact_div(num, g)
         den = exact_div(den, g)
+    return _rescale(num, den)
+
+
+def _rescale(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """Remove the joint content of a coprime pair and make den's lead positive."""
     scale = _rational_gcd(num.content(), den.content())
     _, lead = den.leading_term()
     if lead < 0:
         scale = -scale
+    if scale == 1:
+        return num, den
     return num.scale(1 / scale), den.scale(1 / scale)
+
+
+def _is_one(p: MultiPoly) -> bool:
+    if len(p.terms) != 1:
+        return False
+    ((exps, coeff),) = p.terms.items()
+    return coeff == 1 and not any(exps)
 
 
 def rational_fn_normalize(num: MultiPoly, den: MultiPoly) -> RationalFn:

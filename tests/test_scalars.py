@@ -1,9 +1,11 @@
 """Exact arithmetic: ring axioms, canonical forms, derivatives, evaluation."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from schouten.scalars import (
     MultiPoly,
@@ -16,6 +18,7 @@ from schouten.scalars import (
 )
 
 NVARS = 3
+SYMPY_GENS = sympy.symbols("x y z")
 
 fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=3
@@ -216,3 +219,140 @@ class TestRationalArithmetic:
         # 1 + 2 w + w^2 at w = x
         g = f.compose_univariate([Fraction(1), Fraction(2), Fraction(1)])
         assert g == RationalFn(poly({(0, 0, 0): 1, (1, 0, 0): 2, (2, 0, 0): 1}))
+
+
+def int_polys(max_terms=5):
+    return polys(max_terms).map(
+        lambda p: MultiPoly(NVARS, {e: Fraction(round(c * 3)) for e, c in p.terms.items()})
+    )
+
+
+nonzero_polys = polys(max_terms=2).map(lambda p: ONE if p.is_zero() else p)
+monomials = polys(max_terms=1).map(lambda p: ONE if p.is_zero() else p)
+
+
+@st.composite
+def rational_fns(draw, split=False):
+    """Canonical rational functions of every shape the fast paths meet.
+
+    General numerators and denominators have at most two terms: with three,
+    about one sum in twenty hits the poly_gcd main-variable slowdown
+    (ROADMAP item 1) and runs for minutes.
+    """
+    kinds = ["integer", "rational-coefficient", "general"] + ["split"] * split
+    kind = draw(st.sampled_from(kinds))
+    if kind == "integer":
+        return RationalFn(draw(int_polys()))  # denominator 1
+    if kind == "rational-coefficient":
+        return RationalFn(draw(polys(max_terms=3)))  # constant den, e.g. x/2
+    p, q = draw(polys(max_terms=2)), draw(nonzero_polys)
+    if kind == "general":
+        return RationalFn(p, q)
+    # p/q + r/s with a monomial s: when one part is free of a variable,
+    # part of the denominator cancels in the derivative
+    r, s = draw(polys(max_terms=2)), draw(monomials)
+    return RationalFn(p * s + r * q, q * s)
+
+
+@st.composite
+def rational_pairs(draw, shared_factor=False):
+    if shared_factor and draw(st.booleans()):
+        # n1/(d1*k) and (k*n2)/d2: k cancels across a product
+        k, d1, d2 = draw(nonzero_polys), draw(monomials), draw(monomials)
+        n1, n2 = draw(monomials), draw(monomials)
+        return tuple(draw(st.permutations([RationalFn(n1, d1 * k), RationalFn(k * n2, d2)])))
+    f = draw(rational_fns())
+    if draw(st.booleans()):
+        # (±c + k*d)/d with integer k keeps the denominator d unless it is 0
+        sign = draw(st.sampled_from([1, -1]))
+        g = RationalFn(f.num.scale(sign) + draw(int_polys(max_terms=2)) * f.den, f.den)
+        assume(g.den == f.den)
+        return f, g
+    return f, draw(rational_fns())
+
+
+def to_sympy(p: MultiPoly):
+    return sympy.Poly.from_dict(
+        {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()},
+        *SYMPY_GENS,
+    )
+
+
+def assert_canonical_form_of(f: RationalFn, num: MultiPoly, den: MultiPoly):
+    """f is the canonical form of num/den, that is, RationalFn(num, den).
+
+    Checked by cross-multiplication, the canonical invariants and a sympy
+    gcd, because RationalFn(num, den) itself can run into the poly_gcd
+    main-variable slowdown (ROADMAP item 1) on some of these inputs.
+    """
+    assert f.num * den == num * f.den
+    coeffs = list(f.num.terms.values()) + list(f.den.terms.values())
+    assert all(c.denominator == 1 for c in coeffs)
+    content = 0
+    for c in coeffs:
+        content = math.gcd(content, c.numerator)
+    assert content == 1
+    assert f.den.leading_term()[1] > 0
+    assert sympy.gcd(to_sympy(f.num), to_sympy(f.den)).is_ground
+
+
+class TestFastPaths:
+    """Every shortcut must give what the general normalising constructor gives."""
+
+    @given(rational_pairs())
+    @settings(max_examples=120, deadline=None)
+    def test_sum_and_difference(self, pair):
+        a, b = pair
+        assert_canonical_form_of(a + b, a.num * b.den + b.num * a.den, a.den * b.den)
+        assert_canonical_form_of(a - b, a.num * b.den - b.num * a.den, a.den * b.den)
+
+    @given(rational_pairs(shared_factor=True))
+    @settings(max_examples=120, deadline=None)
+    def test_product(self, pair):
+        a, b = pair
+        assert_canonical_form_of(a * b, a.num * b.num, a.den * b.den)
+
+    @given(rational_fns(split=True), st.integers(0, NVARS - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_derivative(self, a, var):
+        num = a.num.derivative(var) * a.den - a.num * a.den.derivative(var)
+        assert_canonical_form_of(a.derivative(var), num, a.den * a.den)
+
+    @given(rational_fns(), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_power(self, a, n):
+        assert_canonical_form_of(a**n, a.num**n, a.den**n)
+
+    def test_repeated_denominator_factor(self):
+        # d/dx 1/x^2 = -2/x^3: g = gcd(x^2, 2x) = x, and nothing of g cancels
+        f = RationalFn(ONE, X * X)
+        assert f.derivative(0) == RationalFn(ONE.scale(-2), X * X * X)
+
+    def test_denominator_part_free_of_variable(self):
+        # (x + y)/(x y) = 1/y + 1/x, so d/dx gives -1/x^2 and y cancels
+        f = RationalFn(X + Y, X * Y)
+        assert f.derivative(0) == RationalFn(-ONE, X * X)
+
+    def test_content_shared_with_constant_denominator(self):
+        half_x = RationalFn(X.scale(Fraction(1, 2)))
+        assert half_x.den == MultiPoly.constant(NVARS, 2)
+        assert half_x * 2 == RationalFn(X)
+        assert (half_x + half_x).den == ONE
+
+
+class TestExactDivision:
+    @given(polys(max_terms=4), polys(max_terms=4))
+    @settings(max_examples=80, deadline=None)
+    def test_product_divides_back(self, p, d):
+        if d.is_zero():
+            d = ONE
+        assert exact_div(p * d, d) == p
+
+    def test_remainder_raises(self):
+        # x^2 + 1 = (x + 1)(x - 1) + 2
+        with pytest.raises(ValueError, match="^polynomial division is not exact$"):
+            exact_div(X * X + ONE, X + ONE)
+
+    def test_zero_divisor_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            exact_div(X, MultiPoly.zero(NVARS))
