@@ -16,8 +16,8 @@ from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
 from . import __version__
-from .dsl import CHECK_KINDS, SourceDocument, parse
-from .fields import Chart, DifferentialForm, MultiVectorField
+from .dsl import SourceDocument, parse
+from .fields import Chart, MultiVectorField
 from .models import (
     FIXTURE_NAMES,
     fixture_environment,
@@ -27,17 +27,13 @@ from .models import (
 from .oracle import run_pairing_oracle
 from .render import format_field
 from .calculus import schouten_bracket
-from .models import Sl2Triple, sl2_verify
-from .report import CheckReport
+from .report import CheckReport, check
 from .scalars import RationalFn
 from .structures import (
-    ExtendedStructure,
-    JacobiPair,
+    CHECK_KINDS,
     PreconditionError,
     automorphism_hierarchy,
-    extended_jacobi_check,
-    is_poisson,
-    jacobi_structure_check,
+    is_poisson,  # noqa: F401  (perfbench/selftest.py looks it up here)
     modular_field,
 )
 
@@ -158,14 +154,6 @@ class _Environment:
             raise KeyError(f"{name!r} is a {type(value).__name__}, not a field")
         return value
 
-    def resolve_scalar(self, name: str) -> RationalFn:
-        value = self.names.get(name)
-        if isinstance(value, RationalFn):
-            return value
-        if isinstance(value, MultiVectorField) and value.grade == 0:
-            return value.scalar_value()
-        raise KeyError(f"{name!r} is not a scalar")
-
 
 class _ParseFailure(Exception):
     def __init__(self, doc: SourceDocument, filename: str):
@@ -194,21 +182,12 @@ def _document_checks(env: _Environment) -> list[CheckReport]:
 
 
 def _run_named_check(env: _Environment, kind: str, names, label: str) -> CheckReport:
-    if kind in CHECK_KINDS and len(names) != CHECK_KINDS[kind]:
-        raise ValueError(
-            f"check {kind} takes {CHECK_KINDS[kind]} field name(s), got {len(names)}"
-        )
-    fields = [env.resolve_field(n) for n in names]
-    if kind == "poisson":
-        return is_poisson(fields[0], label)
-    if kind == "extended":
-        structure = ExtendedStructure(fields[0].chart, fields[0], fields[1])
-        return extended_jacobi_check(structure, label)
-    if kind == "jacobi":
-        return jacobi_structure_check(JacobiPair(fields[0], fields[1]), label)
-    if kind == "sl2":
-        return sl2_verify(Sl2Triple(fields[0], fields[1], fields[2]), label)
-    raise ValueError(f"unknown check kind {kind!r}")
+    if kind not in CHECK_KINDS:
+        raise ValueError(f"unknown check kind {kind!r}")
+    arity, build = CHECK_KINDS[kind]
+    if len(names) != arity:
+        raise ValueError(f"check {kind} takes {arity} field name(s), got {len(names)}")
+    return build(label, *(env.resolve_field(n) for n in names))
 
 
 def run(config: RunConfig) -> tuple[ReportDocument, int]:
@@ -260,13 +239,9 @@ def run(config: RunConfig) -> tuple[ReportDocument, int]:
                 return list(exc.reports)
             checks = []
             for k, X in enumerate(levels, start=1):
-                residual = schouten_bracket(X, P)
-                name = f"hierarchy-level-{k}-automorphism"
-                if residual.is_zero():
-                    checks.append(CheckReport(name, True))
+                checks.append(check(f"hierarchy-level-{k}-automorphism", schouten_bracket(X, P)))
+                if checks[-1].passed:
                     report.printed.append(f"X{k} = {format_field(X)}")
-                else:
-                    checks.append(CheckReport(name, False, format_field(residual)))
             return checks
 
         timed(produce)

@@ -21,8 +21,10 @@ Grammar (EBNF, `.fld` files):
 Numeric literals are integers; rationals are written as quotients (3/4).
 `@x` is a basis vector, `d x` a basis 1-form; chart variables are scalar
 atoms.  Scalar, field and form declarations bind to the most recently
-declared chart.  Parsing never aborts on the first error: a diagnostic is
-recorded and scanning resumes at the next declaration keyword.
+declared chart.  The check kinds and the number of names each takes come
+from `structures.CHECK_KINDS`, the registry the command line also uses.
+Parsing never aborts on the first error: a diagnostic is recorded and
+scanning resumes at the next declaration keyword.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from fractions import Fraction
 from .fields import Chart, DifferentialForm, GradedField, MultiVectorField, wedge
 from .render import format_field, format_scalar
 from .scalars import RationalFn
+from .structures import CHECK_KINDS
 
 DECL_KEYWORDS = ("chart", "scalar", "field", "form", "check")
-CHECK_KINDS = {"poisson": 1, "extended": 2, "jacobi": 2, "sl2": 3}
 
 
 @dataclass(frozen=True)
@@ -256,7 +258,8 @@ class _Parser:
         kind = self.expect("name")
         if kind.text not in CHECK_KINDS:
             self.error(f"unknown check kind {kind.text!r}", kind)
-        names = tuple(self.expect("name").text for _ in range(CHECK_KINDS[kind.text]))
+        arity, _ = CHECK_KINDS[kind.text]
+        names = tuple(self.expect("name").text for _ in range(arity))
         for n in names:
             if n not in self.doc.env:
                 self.error(f"check references undeclared name {n!r}", kind)

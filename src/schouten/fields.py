@@ -112,11 +112,6 @@ def merge_indices(left: tuple[int, ...], right: tuple[int, ...]):
     return sign, tuple(merged)
 
 
-def removal_sign(indices: tuple[int, ...], position: int) -> int:
-    """Sign acquired moving the factor at `position` to the front."""
-    return -1 if position % 2 else 1
-
-
 class GradedField:
     """Shared machinery of multivectors and forms."""
 
@@ -223,14 +218,6 @@ class GradedField:
             {i: s for i, c in self.coeffs.items() if not (s := c.substitute(var, value)).is_zero()}
         )
 
-    def map_coeffs(self, fn):
-        out = {}
-        for idx, c in self.coeffs.items():
-            v = fn(c)
-            if not v.is_zero():
-                out[idx] = v
-        return self._same_kind(out)
-
     def __repr__(self):
         kind = type(self).__name__
         return f"{kind}(grade={self.grade}, {self.coeffs!r})"
@@ -318,7 +305,7 @@ def wedge(a, b):
     return type(a)(a.chart, grade, out)
 
 
-def _contract(small_coeffs, big_coeffs, chart, out_grade):
+def _contract(small_coeffs, big_coeffs):
     """Shared front-insertion contraction; small grade <= big grade."""
     out: dict[tuple[int, ...], RationalFn] = {}
     for small_idx, c_small in small_coeffs.items():
@@ -348,7 +335,7 @@ def interior_product(P: MultiVectorField, w: DifferentialForm) -> DifferentialFo
         raise ValueError(f"grade {P.grade} multivector into grade {w.grade} form")
     if P.grade == 0:
         return w.scale(P.scalar_value())
-    out = _contract(P.coeffs, w.coeffs, P.chart, w.grade - P.grade)
+    out = _contract(P.coeffs, w.coeffs)
     return DifferentialForm(P.chart, w.grade - P.grade, out)
 
 
@@ -361,7 +348,7 @@ def contract_form_into_multivector(w: DifferentialForm, P: MultiVectorField) -> 
         raise ValueError(f"grade {w.grade} form into grade {P.grade} multivector")
     if w.grade == 0:
         return P.scale(w.coefficient(()))
-    out = _contract(w.coeffs, P.coeffs, P.chart, P.grade - w.grade)
+    out = _contract(w.coeffs, P.coeffs)
     return MultiVectorField(P.chart, P.grade - w.grade, out)
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import DifferentialForm, GradedField, MultiVectorField
+from .fields import GradedField, MultiVectorField
 from .scalars import MultiPoly, RationalFn, grlex_key
 
 
@@ -103,15 +103,3 @@ def format_field(F: GradedField, names=None) -> str:
         else:
             out += f" + {piece}"
     return out
-
-
-def describe(obj, names=None) -> str:
-    if isinstance(obj, RationalFn):
-        return format_scalar(obj, names if names is not None else _default_names(obj.nvars))
-    if isinstance(obj, GradedField):
-        return format_field(obj, names)
-    return str(obj)
-
-
-def _default_names(n: int):
-    return tuple(f"x{i}" for i in range(n))

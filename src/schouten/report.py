@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .render import format_field, format_scalar
+from .scalars import RationalFn
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -36,5 +39,24 @@ def failed(name: str, residual: str, witnesses: tuple = ()) -> CheckReport:
     return CheckReport(name, False, residual, witnesses)
 
 
-def all_passed(reports) -> bool:
-    return all(r.passed for r in reports)
+def check(name: str, *parts) -> CheckReport:
+    """Pass iff every part is exactly zero; the residual is the canonical text
+    of the nonzero parts.
+
+    A part is a field or scalar, or a `(label, value)` pair; a labelled part
+    renders as `label = text`, and the texts are joined by "; ".  An equality
+    check is `check(name, left - right)`.
+    """
+    residuals = []
+    for part in parts:
+        label, value = part if isinstance(part, tuple) else (None, part)
+        if value.is_zero():
+            continue
+        if isinstance(value, RationalFn):
+            text = format_scalar(value, tuple(f"x{i}" for i in range(value.nvars)))
+        else:
+            text = format_field(value)
+        residuals.append(text if label is None else f"{label} = {text}")
+    if residuals:
+        return failed(name, "; ".join(residuals))
+    return passed(name)

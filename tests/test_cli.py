@@ -22,6 +22,11 @@ def test_check_arity_mismatch_is_a_usage_error(capsys, args, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_unknown_check_kind_is_a_usage_error(capsys):
+    assert main(DH + ["check", "foo", "P1"]) == EXIT_INTERNAL_ERROR
+    assert capsys.readouterr().err == "error: unknown check kind 'foo'\n"
+
+
 def test_missing_input_file_is_a_usage_error(capsys, tmp_path):
     missing = tmp_path / "missing.fld"
     assert main(["--input", str(missing), "check"]) == EXIT_INTERNAL_ERROR

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from schouten.calculus import divergence, schouten_bracket
+from schouten.calculus import curl, divergence, schouten_bracket
 from schouten.fields import Chart, MultiVectorField, wedge
 from schouten.models import darboux_halphen_fixture, nonunimodular_fixture
 from schouten.oracle import random_poly, random_scalar
@@ -16,6 +16,7 @@ from schouten.structures import (
     JacobiPair,
     PreconditionError,
     automorphism_hierarchy,
+    characteristic_curl,
     conserved_residual,
     extended_jacobi_check,
     hamiltonian_decomposition,
@@ -439,3 +440,34 @@ class TestSuspension:
             conserved_residual(v, chart4.coordinate("x"))
             == chart4.coordinate("y")
         )
+
+
+class TestCharacteristicCurl:
+    @pytest.fixture
+    def parts(self, chart4):
+        x, y, z = (chart4.coordinate(n) for n in ("x", "y", "z"))
+        Q = bivector(chart4, {(1, 2): x * y, (2, 3): z * x})
+        B = MultiVectorField(chart4, 1, {(3,): y})
+        assert not curl(Q).is_zero()
+        return Q, B
+
+    def test_volume_invariant_reduces_to_curl_of_Q(self, chart4, parts):
+        Q, B = parts
+        x, y = chart4.coordinate("x"), chart4.coordinate("y")
+        V = suspension(MultiVectorField(chart4, 1, {(1,): -y, (2,): x}))
+        assert divergence(V).is_zero()
+        result, report = characteristic_curl(Q, V, B)
+        assert result == curl(Q)
+        assert report.name == "characteristic-curl-volume-invariant"
+        assert report.passed and report.residual is None
+
+    def test_non_invariant_volume_adds_divergence_times_B(self, chart4, parts):
+        Q, B = parts
+        x, y = chart4.coordinate("x"), chart4.coordinate("y")
+        V = suspension(MultiVectorField(chart4, 1, {(1,): x * y}))
+        assert divergence(V) == y
+        result, report = characteristic_curl(Q, V, B)
+        assert result == curl(Q) + B.scale(y)
+        assert result != curl(Q)
+        assert report.name == "characteristic-curl-volume-not-invariant"
+        assert report.passed
