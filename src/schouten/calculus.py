@@ -29,14 +29,10 @@ where dR/d xi_m is the right Grassmann derivative.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .fields import (
-    Chart,
     DifferentialForm,
     GradedField,
     MultiVectorField,
-    differential,
     interior_product,
     merge_indices,
     pairing,

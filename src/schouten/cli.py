@@ -2,7 +2,7 @@
 suites, and emit deterministic text or JSON reports.
 
 Exit status: 0 when every check passed, 1 on check failure, 2 on parse
-failure, 3 on internal error.
+failure, 3 on internal or usage error.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ class RunConfig:
     input_path: str | None = None
     fixture: str | None = None
     depth: int = 4
-    samples: int = 20
     seed: int = 0
     format: str = "text"
     output: str | None = None
@@ -58,8 +57,6 @@ class RunConfig:
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        if self.samples < 1:
-            raise ValueError("sample count must be >= 1")
 
 
 @dataclass
@@ -246,11 +243,11 @@ def run(config: RunConfig) -> tuple[ReportDocument, int]:
 
         timed(produce)
     elif config.command == "oracle":
-        _require_args(config, 2, "oracle P Q --samples n")
+        _require_args(config, 2, "oracle P Q")
         env = _Environment.load(config)
         P = env.resolve_field(config.args[0])
         Q = env.resolve_field(config.args[1])
-        timed(lambda: run_pairing_oracle(P, Q, config.samples, rng))
+        timed(lambda: run_pairing_oracle(P, Q, rng))
     elif config.command == "verify":
         _require_args(config, 1, "verify darboux-halphen|fluid")
         target = config.args[0]
@@ -267,8 +264,21 @@ def run(config: RunConfig) -> tuple[ReportDocument, int]:
     return report, exit_code
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error with exit status 3 instead of argparse's 2,
+    which is the parse-error status here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _UsageError(f"{self.prog}: error: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="schouten",
         description="exact Schouten-bracket calculus and structure verification",
     )
@@ -277,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fixture", choices=FIXTURE_NAMES, help="use a named built-in fixture"
     )
     parser.add_argument("--depth", type=int, default=4, help="hierarchy depth (default 4)")
-    parser.add_argument("--samples", type=int, default=20, help="oracle sample count")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--output", help="write the report to a file")
@@ -287,8 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    try:
+        ns = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
     try:
         config = RunConfig(
             command=ns.command,
@@ -296,7 +308,6 @@ def main(argv=None) -> int:
             input_path=ns.input,
             fixture=ns.fixture,
             depth=ns.depth,
-            samples=ns.samples,
             seed=ns.seed,
             format=ns.format,
             output=ns.output,

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 
 from .fields import Chart, DifferentialForm, GradedField, MultiVectorField, wedge
 from .render import format_field, format_scalar

@@ -19,11 +19,11 @@ by dedicated tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .scalars import MultiPoly, RationalFn
+from .scalars import RationalFn
 
 
 class ChartMismatchError(ValueError):
@@ -227,12 +227,6 @@ class MultiVectorField(GradedField):
     """Grade-k antisymmetric contravariant field on a chart."""
 
     @classmethod
-    def vector(cls, chart: Chart, components: Sequence) -> "MultiVectorField":
-        if len(components) != chart.dim:
-            raise ValueError("component count does not match chart dimension")
-        return cls(chart, 1, {(i,): chart.scalar(c) for i, c in enumerate(components)})
-
-    @classmethod
     def basis_vector(cls, chart: Chart, index: int) -> "MultiVectorField":
         return cls(chart, 1, {(index,): chart.scalar(1)})
 
@@ -260,12 +254,6 @@ class MultiVectorField(GradedField):
 
 class DifferentialForm(GradedField):
     """Grade-k antisymmetric covariant field on a chart."""
-
-    @classmethod
-    def covector(cls, chart: Chart, components: Sequence) -> "DifferentialForm":
-        if len(components) != chart.dim:
-            raise ValueError("component count does not match chart dimension")
-        return cls(chart, 1, {(i,): chart.scalar(c) for i, c in enumerate(components)})
 
     @classmethod
     def basis_form(cls, chart: Chart, index: int) -> "DifferentialForm":

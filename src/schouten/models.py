@@ -104,11 +104,6 @@ class Vector3Bridge:
             self.chart, 1, {(i,): c for i, c in zip(self.idx, comps)}
         )
 
-    def from_one_form(self, w: DifferentialForm) -> MultiVectorField:
-        return MultiVectorField(
-            self.chart, 1, {(i,): w.coefficient((i,)) for i in self.idx}
-        )
-
     def two_form(self, X: MultiVectorField) -> DifferentialForm:
         """X . dx ^ dx: X1 dy^dz + X2 dz^dx + X3 dx^dy"""
         a, b, c = self.components(X)
@@ -143,15 +138,6 @@ class Vector3Bridge:
         return self.from_two_form(
             exterior_derivative(self.one_form(X), self.idx)
         )
-
-    def div3(self, X: MultiVectorField) -> RationalFn:
-        acc = RationalFn.zero(self.chart.dim)
-        for i, c in zip(self.idx, self.components(X)):
-            acc = acc + c.derivative(i)
-        return acc
-
-    def spatial_d(self, w: DifferentialForm) -> DifferentialForm:
-        return exterior_derivative(w, self.idx)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +229,7 @@ def darboux_halphen_fixture() -> tuple[Chart, Sl2Triple]:
     )
     u = MultiVectorField(chart, 1, {(1,): 2 * x, (2,): 2 * y, (3,): 2 * z})
     w = MultiVectorField(chart, 1, {(1,): chart.scalar(1), (2,): chart.scalar(1), (3,): chart.scalar(1)})
-    return chart, Sl2Triple.verified(v, u, w)
+    return chart, Sl2Triple(v, u, w)
 
 
 def time_dependent_basis(
@@ -824,10 +810,7 @@ def verify_fluid(depth: int = 3) -> list[CheckReport]:
 
 
 def _prefix(label: str, checks: Sequence[CheckReport]) -> list[CheckReport]:
-    return [
-        CheckReport(f"{label}-{c.name}", c.passed, c.residual, c.witnesses)
-        for c in checks
-    ]
+    return [CheckReport(f"{label}-{c.name}", c.passed, c.residual) for c in checks]
 
 
 def fixture_environment(name: str) -> tuple[Chart, dict]:

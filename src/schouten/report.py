@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .render import format_field, format_scalar
 from .scalars import RationalFn
@@ -14,14 +14,12 @@ class CheckReport:
 
     `residual` holds the canonical text of the nonzero difference when the
     check fails, so a failure is reproducible evidence rather than a bare
-    boolean.  `witnesses` optionally records sample points (for point-based
-    oracles).
+    boolean.
     """
 
     name: str
     passed: bool
     residual: str | None = None
-    witnesses: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         if self.passed and self.residual is not None:
@@ -33,10 +31,6 @@ class CheckReport:
 
 def passed(name: str) -> CheckReport:
     return CheckReport(name, True)
-
-
-def failed(name: str, residual: str, witnesses: tuple = ()) -> CheckReport:
-    return CheckReport(name, False, residual, witnesses)
 
 
 def check(name: str, *parts) -> CheckReport:
@@ -58,5 +52,5 @@ def check(name: str, *parts) -> CheckReport:
             text = format_field(value)
         residuals.append(text if label is None else f"{label} = {text}")
     if residuals:
-        return failed(name, "; ".join(residuals))
+        return CheckReport(name, False, "; ".join(residuals))
     return passed(name)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class PoleError(ArithmeticError):
@@ -93,11 +93,6 @@ class MultiPoly:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
         return next(iter(self.terms.values()))
-
-    def total_degree(self) -> int:
-        if self.is_zero():
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def degree_in(self, var: int) -> int:
         if self.is_zero():

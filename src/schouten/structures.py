@@ -21,8 +21,6 @@ from typing import Sequence
 from .calculus import (
     curl,
     divergence,
-    exterior_derivative,
-    lie_derivative,
     schouten_bracket,
 )
 from .fields import (
@@ -334,14 +332,6 @@ class Sl2Triple:
     v: MultiVectorField
     u: MultiVectorField
     w: MultiVectorField
-
-    @classmethod
-    def verified(cls, v, u, w) -> "Sl2Triple":
-        tr = cls(v, u, w)
-        report = sl2_verify(tr)
-        if not report.passed:
-            raise PreconditionError(f"not an sl(2,R) triple: {report.residual}", (report,))
-        return tr
 
     @property
     def chart(self) -> Chart:

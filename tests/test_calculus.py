@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from schouten import calculus
 from schouten.calculus import (
     bracket_pairing_sides,
     curl,
@@ -25,12 +26,12 @@ from schouten.fields import (
     wedge,
 )
 from schouten.oracle import (
-    pairing_oracle,
     random_form,
     random_multivector,
-    random_point_avoiding_poles,
     random_scalar,
+    run_pairing_oracle,
 )
+from schouten.render import format_scalar
 from schouten.structures import poisson_function_bracket
 
 
@@ -246,13 +247,34 @@ class TestPairingOracle:
             left, right = bracket_pairing_sides(P, Q, w)
             assert left == right
 
-    def test_point_oracle(self, chart):
+    def test_oracle_failures_carry_their_residual(self, chart, monkeypatch):
         rng = random.Random(59)
         P = random_multivector(rng, chart, 2)
         Q = random_multivector(rng, chart, 1)
-        w = random_form(rng, chart, 2)
-        pts = [random_point_avoiding_poles(rng, [], chart.dim) for _ in range(20)]
-        assert pairing_oracle(P, Q, w, pts).passed
+        bracket = schouten_bracket(P, Q)
+        assert not bracket.is_zero()
+        monkeypatch.setattr(calculus, "schouten_bracket", lambda A, B: schouten_bracket(A, B).scale(2))
+        reports = run_pairing_oracle(P, Q, random.Random(7))
+        forms = random.Random(7)
+        assert [r.name for r in reports] == [f"pairing-oracle-form-{k}" for k in range(3)]
+        for report in reports:
+            # with the bracket doubled, left - right is w([P,Q]) itself
+            residual = pairing(random_form(forms, chart, 2), bracket)
+            assert not report.passed
+            assert report.residual == format_scalar(residual, ("x0", "x1", "x2"))
+
+    def test_oracle_passes_with_the_true_bracket(self, chart):
+        rng = random.Random(71)
+        for p in range(4):
+            for q in range(4):
+                P = random_multivector(rng, chart, p, density=1.0)
+                Q = random_multivector(rng, chart, q, density=1.0)
+                reports = run_pairing_oracle(P, Q, rng, test_forms=2)
+                assert all(r.passed and r.residual is None for r in reports)
+                if p + q == 0 or p + q - 1 > chart.dim:
+                    assert [r.name for r in reports] == ["pairing-oracle-degenerate-grades"]
+                else:
+                    assert len(reports) == 2
 
     def test_classical_reduction_on_grade_one(self, chart):
         # for p = q = 1 the identity is the textbook dw(X, Y) formula

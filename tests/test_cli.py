@@ -39,3 +39,27 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
     argv = DH + ["--output", str(target), "check", "poisson", "P2"]
     assert main(argv) == EXIT_INTERNAL_ERROR
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--depth", "x", "verify", "fluid"], "argument --depth: invalid int value: 'x'"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        (["--fixture", "nope", "check"], "argument --fixture: invalid choice: 'nope'"),
+        (["--samples", "5"] + DH + ["oracle", "P1", "P2"], "schouten: error: "),
+    ],
+    ids=["bad-depth", "unknown-command", "unknown-fixture", "removed-samples-option"],
+)
+def test_argparse_failure_is_a_usage_error(capsys, args, message):
+    assert main(args) == EXIT_INTERNAL_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("usage: schouten ")
+    assert message in err.splitlines()[-1]
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: schouten ")

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from schouten import structures
 from schouten.calculus import curl, divergence, schouten_bracket
 from schouten.fields import Chart, MultiVectorField, wedge
 from schouten.models import darboux_halphen_fixture, nonunimodular_fixture
@@ -15,6 +16,7 @@ from schouten.structures import (
     ExtendedStructure,
     JacobiPair,
     PreconditionError,
+    Sl2Triple,
     automorphism_hierarchy,
     characteristic_curl,
     conserved_residual,
@@ -471,3 +473,14 @@ class TestCharacteristicCurl:
         assert result != curl(Q)
         assert report.name == "characteristic-curl-volume-not-invariant"
         assert report.passed
+
+
+class TestDarbouxHalphenFixture:
+    def test_builds_without_brackets(self, monkeypatch):
+        def refuse(P, Q):
+            raise AssertionError("the fixture evaluated a bracket")
+
+        monkeypatch.setattr(structures, "schouten_bracket", refuse)
+        chart, tr = darboux_halphen_fixture()
+        assert isinstance(tr, Sl2Triple)
+        assert tr.chart is chart and chart.variables == ("t", "x", "y", "z")
