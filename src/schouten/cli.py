@@ -220,8 +220,12 @@ def run(config: RunConfig) -> tuple[ReportDocument, int]:
             kind, names = config.args[0], config.args[1:]
             label = f"{kind}({', '.join(names)})"
             timed(lambda: [_run_named_check(env, kind, names, label)])
-        else:
-            timed(lambda: _document_checks(env))
+        elif not timed(lambda: _document_checks(env)):
+            # a check that decides nothing must not pass
+            raise ValueError(
+                "nothing to check: name a check kind and its fields, "
+                "or give a document with check declarations"
+            )
     elif config.command == "hierarchy":
         _require_args(config, 2, "hierarchy B P --depth k")
         env = _Environment.load(config)
@@ -323,6 +327,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE_ERROR
     except (KeyError, ValueError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
+    except Exception as exc:  # any other failure is an internal error, not a traceback
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
     text = emit_json(report) if config.format == "json" else emit_text(report)
     if config.output:

@@ -1,10 +1,21 @@
 """Exact multivariate polynomial and rational-function arithmetic over Q.
 
 Every geometric object in this package carries coefficients from this
-module.  Coefficients are `fractions.Fraction`; polynomials are sparse
-maps from exponent tuples to nonzero fractions; rational functions are
-kept in a canonical reduced form so that equality (and in particular
-"is exactly zero") is decidable by structural comparison.
+module.  Polynomials are sparse maps from exponent tuples to nonzero
+rational coefficients; rational functions are kept in a canonical reduced
+form so that equality (and in particular "is exactly zero") is decidable by
+structural comparison.
+
+Coefficient invariant: a stored coefficient is a nonzero `int` when it is
+integral, and a `fractions.Fraction` only when it is not.  Canonical
+numerators and denominators have integer coefficients, so most arithmetic
+runs on ints and builds no Fraction at all.  An `int` and a `Fraction` of
+equal value compare and hash equally, so the invariant changes no equality,
+hash or rendered text.  `MultiPoly(nvars, terms)` validates terms from
+outside and brings them to this form; every result of the module's own
+arithmetic is built by the trusted constructor `_poly`, which sets the two
+slots unchecked, after a single `_clean` pass where zeros or integral
+Fractions can arise.
 
 Monomial order is graded lexicographic, fixed once for the whole package:
 first compare total degree, then the exponent tuple lexicographically.
@@ -15,19 +26,47 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
+from operator import add, neg, sub
 from typing import Mapping, Sequence
 
 
 class PoleError(ArithmeticError):
-    """Raised when a rational function is evaluated at a zero of its denominator."""
+    """Raised when a substitution makes a denominator vanish identically."""
 
 
-def _as_fraction(x) -> Fraction:
+def _coefficient(x) -> int | Fraction:
+    """Validate a coefficient from outside the module; return its stored form."""
     if isinstance(x, Fraction):
-        return x
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+def _clean(terms: dict) -> dict:
+    """Drop zero coefficients and store integral Fractions as ints."""
+    return {
+        e: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+        for e, c in terms.items()
+        if c
+    }
+
+
+def _quotient(a, b) -> int | Fraction:
+    """a / b in stored form, without a Fraction when both are ints and b | a."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _coefficient(Fraction(a, b))
+
+
+def _poly(nvars: int, terms: dict) -> "MultiPoly":
+    """Trusted constructor: `terms` already obeys the coefficient invariant."""
+    p = object.__new__(MultiPoly)
+    p.nvars = nvars
+    p.terms = terms
+    return p
 
 
 def grlex_key(exponents: tuple[int, ...]) -> tuple:
@@ -35,21 +74,24 @@ def grlex_key(exponents: tuple[int, ...]) -> tuple:
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial with rational coefficients.
 
     `terms` maps exponent tuples (one entry per chart variable) to nonzero
-    coefficients.  No zero coefficient is ever stored, so two polynomials
-    are equal iff their term maps are equal.
+    coefficients: an `int` when integral, a `Fraction` otherwise.  No zero
+    coefficient is ever stored, so two polynomials are equal iff their term
+    maps are equal.  `MultiPoly(nvars, terms)` validates and converts its
+    input; results of arithmetic come from the trusted `_poly` instead.
+    `terms` is never changed after construction.
     """
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], int | Fraction] | None = None):
         self.nvars = nvars
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], int | Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
-                coeff = _as_fraction(coeff)
+                coeff = _coefficient(coeff)
                 if coeff == 0:
                     continue
                 if len(exps) != nvars:
@@ -63,21 +105,19 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars, {})
+        return _poly(nvars, {})
 
     @classmethod
     def constant(cls, nvars: int, value) -> "MultiPoly":
-        value = _as_fraction(value)
-        if value == 0:
-            return cls.zero(nvars)
-        return cls(nvars, {(0,) * nvars: value})
+        value = _coefficient(value)
+        return _poly(nvars, {(0,) * nvars: value} if value else {})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
         if not 0 <= index < nvars:
             raise IndexError(f"variable index {index} out of range for {nvars} variables")
         exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {exps: Fraction(1)})
+        return _poly(nvars, {exps: 1})
 
     # -- predicates ----------------------------------------------------
 
@@ -92,14 +132,14 @@ class MultiPoly:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())))
 
     def degree_in(self, var: int) -> int:
         if self.is_zero():
             return -1
         return max(e[var] for e in self.terms)
 
-    def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
+    def leading_term(self) -> tuple[tuple[int, ...], int | Fraction]:
         """Leading (exponents, coeff) under graded lex order."""
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
@@ -117,16 +157,13 @@ class MultiPoly:
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
         out = dict(self.terms)
+        get = out.get
         for exps, coeff in other.terms.items():
-            acc = out.get(exps, Fraction(0)) + coeff
-            if acc == 0:
-                out.pop(exps, None)
-            else:
-                out[exps] = acc
-        return MultiPoly(self.nvars, out)
+            out[exps] = get(exps, 0) + coeff
+        return _poly(self.nvars, _clean(out))
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _poly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -135,24 +172,22 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compatible(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
+        get = out.get
+        other_terms = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(exps, Fraction(0)) + c1 * c2
-                if acc == 0:
-                    out.pop(exps, None)
-                else:
-                    out[exps] = acc
-        return MultiPoly(self.nvars, out)
+            for e2, c2 in other_terms:
+                exps = tuple(map(add, e1, e2))
+                out[exps] = get(exps, 0) + c1 * c2
+        return _poly(self.nvars, _clean(out))
 
     __rmul__ = __mul__
 
     def scale(self, factor) -> "MultiPoly":
-        factor = _as_fraction(factor)
-        if factor == 0:
+        factor = _coefficient(factor)
+        if not factor:
             return MultiPoly.zero(self.nvars)
-        return MultiPoly(self.nvars, {e: c * factor for e, c in self.terms.items()})
+        return _poly(self.nvars, _clean({e: c * factor for e, c in self.terms.items()}))
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -181,73 +216,37 @@ class MultiPoly:
     def derivative(self, var: int) -> "MultiPoly":
         if not 0 <= var < self.nvars:
             raise IndexError(f"variable index {var} out of range")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms.items():
-            k = exps[var]
-            if k == 0:
-                continue
-            new = list(exps)
-            new[var] = k - 1
-            key = tuple(new)
-            acc = out.get(key, Fraction(0)) + coeff * k
-            if acc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return MultiPoly(self.nvars, out)
+        # lowering one exponent keeps distinct monomials distinct, so no
+        # two terms land on one key
+        out = {
+            exps[:var] + (exps[var] - 1,) + exps[var + 1 :]: coeff * exps[var]
+            for exps, coeff in self.terms.items()
+            if exps[var]
+        }
+        return _poly(self.nvars, _clean(out))
 
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        if len(point) != self.nvars:
-            raise ValueError("point length does not match variable count")
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            value = coeff
-            for base, e in zip(point, exps):
-                if e:
-                    value *= _as_fraction(base) ** e
-            total += value
-        return total
-
-    def substitute(self, var: int, value: Fraction) -> "MultiPoly":
+    def substitute(self, var: int, value: int | Fraction) -> "MultiPoly":
         """Replace one variable by a rational constant (tuple length unchanged)."""
-        value = _as_fraction(value)
-        out: dict[tuple[int, ...], Fraction] = {}
+        value = _coefficient(value)
+        out: dict[tuple[int, ...], int | Fraction] = {}
+        get = out.get
         for exps, coeff in self.terms.items():
-            k = exps[var]
-            new = list(exps)
-            new[var] = 0
-            key = tuple(new)
-            acc = out.get(key, Fraction(0)) + coeff * value**k
-            if acc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return MultiPoly(self.nvars, out)
+            key = exps[:var] + (0,) + exps[var + 1 :]
+            out[key] = get(key, 0) + coeff * value ** exps[var]
+        return _poly(self.nvars, _clean(out))
 
     def content(self) -> Fraction:
         """Positive rational c such that self/c has coprime integer coefficients."""
         if self.is_zero():
             return Fraction(0)
-        num_gcd = 0
-        den_lcm = 1
-        for coeff in self.terms.values():
-            num_gcd = math.gcd(num_gcd, abs(coeff.numerator))
-            den_lcm = den_lcm * coeff.denominator // math.gcd(den_lcm, coeff.denominator)
-        return Fraction(num_gcd, den_lcm)
+        coeffs = self.terms.values()
+        return Fraction(
+            math.gcd(*(c.numerator for c in coeffs)),
+            math.lcm(*(c.denominator for c in coeffs)),
+        )
 
     def __repr__(self):
         return f"MultiPoly({self.nvars}, {self.terms!r})"
-
-
-def poly_arith(a: MultiPoly, b: MultiPoly, op: str) -> MultiPoly:
-    """Named entry point for +, -, * on polynomials."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
 
 
 # -- divisibility and gcd ------------------------------------------------
@@ -259,7 +258,8 @@ def exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly:
     The remainder is one dict updated in place: each quotient term q
     removes the remainder's leading term and subtracts q * (d - lt(d)).
     Every subtracted term lies below the removed one in graded lex order,
-    so a heap of pending exponents yields the leading terms in turn.
+    so a heap of pending exponents yields the leading terms in turn, and
+    no exponent enters the heap twice.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
@@ -271,46 +271,50 @@ def exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly:
     rem = dict(p.terms)
     pending = [(_descending_key(exps), exps) for exps in rem]
     heapq.heapify(pending)
-    quotient: dict[tuple[int, ...], Fraction] = {}
-    while rem:
+    quotient: dict[tuple[int, ...], int | Fraction] = {}
+    while pending:
         r_exps = heapq.heappop(pending)[1]
-        r_coeff = rem.pop(r_exps, None)
-        if r_coeff is None:
-            continue  # cancelled, or a duplicate heap entry
-        q_exps = tuple(a - b for a, b in zip(r_exps, d_exps))
+        r_coeff = rem.pop(r_exps)
+        if not r_coeff:
+            continue  # cancelled
+        q_exps = tuple(map(sub, r_exps, d_exps))
         if any(e < 0 for e in q_exps):
             raise ValueError("polynomial division is not exact")
-        q_coeff = r_coeff / d_coeff
+        q_coeff = _quotient(r_coeff, d_coeff)
         quotient[q_exps] = q_coeff
         for t_exps, t_coeff in d_tail:
-            exps = tuple(a + b for a, b in zip(q_exps, t_exps))
-            acc = rem.get(exps)
-            if acc is None:
+            exps = tuple(map(add, q_exps, t_exps))
+            if exps in rem:
+                rem[exps] -= q_coeff * t_coeff
+            else:
                 rem[exps] = -q_coeff * t_coeff
                 heapq.heappush(pending, (_descending_key(exps), exps))
-            else:
-                acc -= q_coeff * t_coeff
-                if acc:
-                    rem[exps] = acc
-                else:
-                    del rem[exps]
-    return MultiPoly(p.nvars, quotient)
+    return _poly(p.nvars, quotient)
 
 
 def _descending_key(exps: tuple[int, ...]) -> tuple:
     """Heap key that pops exponents in decreasing graded lex order."""
-    return (-sum(exps), tuple(-e for e in exps))
+    return (-sum(exps), tuple(map(neg, exps)))
 
 
 def _rational_gcd(a: Fraction, b: Fraction) -> Fraction:
-    a, b = abs(a), abs(b)
-    if a == 0:
-        return b
-    if b == 0:
-        return a
-    num = math.gcd(a.numerator, b.numerator)
-    den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
+    return Fraction(
+        math.gcd(a.numerator, b.numerator), math.lcm(a.denominator, b.denominator)
+    )
+
+
+def _divide_content(p: MultiPoly, c: Fraction) -> MultiPoly:
+    """p / c, for a nonzero c that divides the content of p.
+
+    An integral c can only divide the content of a polynomial with integer
+    coefficients, and then it divides each of them: floor division is exact.
+    """
+    if c.denominator != 1:
+        return p.scale(1 / c)
+    c = c.numerator
+    if c == 1:
+        return p
+    return _poly(p.nvars, {e: v // c for e, v in p.terms.items()})
 
 
 def _make_primitive(p: MultiPoly) -> MultiPoly:
@@ -319,33 +323,33 @@ def _make_primitive(p: MultiPoly) -> MultiPoly:
         return p
     c = p.content()
     _, lead = p.leading_term()
-    if lead < 0:
-        c = -c
-    return p.scale(1 / c)
+    return _divide_content(p, -c if lead < 0 else c)
 
 
 def _coefficients_in(p: MultiPoly, var: int) -> dict[int, MultiPoly]:
     """View p as univariate in `var`; coefficients are polynomials in the rest."""
-    out: dict[int, dict[tuple[int, ...], Fraction]] = {}
+    out: dict[int, dict[tuple[int, ...], int | Fraction]] = {}
     for exps, coeff in p.terms.items():
-        k = exps[var]
-        rest = list(exps)
-        rest[var] = 0
-        out.setdefault(k, {})[tuple(rest)] = coeff
-    return {k: MultiPoly(p.nvars, terms) for k, terms in out.items()}
+        out.setdefault(exps[var], {})[exps[:var] + (0,) + exps[var + 1 :]] = coeff
+    return {k: _poly(p.nvars, terms) for k, terms in out.items()}
 
 
 def _pseudo_rem(p: MultiPoly, q: MultiPoly, var: int) -> MultiPoly:
     """Pseudo-remainder of p by q, both univariate in `var` over a poly ring."""
     dq = q.degree_in(var)
-    q_coeffs = _coefficients_in(q, var)
-    lc_q = q_coeffs[dq]
+    lc_q = _coefficients_in(q, var)[dq]
     rem = p
-    while not rem.is_zero() and rem.degree_in(var) >= dq:
-        dr = rem.degree_in(var)
-        lc_r = _coefficients_in(rem, var)[dr]
-        shift = MultiPoly.variable(p.nvars, var) ** (dr - dq)
-        rem = rem * lc_q - q * lc_r * shift
+    while (dr := rem.degree_in(var)) >= dq:
+        # lc(rem) * var^(dr - dq), read off the leading terms of rem
+        lead = _poly(
+            p.nvars,
+            {
+                exps[:var] + (dr - dq,) + exps[var + 1 :]: coeff
+                for exps, coeff in rem.terms.items()
+                if exps[var] == dr
+            },
+        )
+        rem = rem * lc_q - q * lead
     return rem
 
 
@@ -556,12 +560,6 @@ class RationalFn:
             num, den = exact_div(num, h), exact_div(g, h) * u * u
         return RationalFn(*_rescale(num, den), _canonical=True)
 
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        den = self.den.evaluate(point)
-        if den == 0:
-            raise PoleError(f"denominator vanishes at {tuple(point)}")
-        return self.num.evaluate(point) / den
-
     def substitute(self, var: int, value: Fraction) -> "RationalFn":
         den = self.den.substitute(var, value)
         if den.is_zero():
@@ -611,7 +609,7 @@ def _rescale(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
         scale = -scale
     if scale == 1:
         return num, den
-    return num.scale(1 / scale), den.scale(1 / scale)
+    return _divide_content(num, scale), _divide_content(den, scale)
 
 
 def _is_one(p: MultiPoly) -> bool:
@@ -619,8 +617,3 @@ def _is_one(p: MultiPoly) -> bool:
         return False
     ((exps, coeff),) = p.terms.items()
     return coeff == 1 and not any(exps)
-
-
-def rational_fn_normalize(num: MultiPoly, den: MultiPoly) -> RationalFn:
-    """Public normalizing constructor (spec entry point)."""
-    return RationalFn(num, den)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from schouten import cli
 from schouten.cli import EXIT_INTERNAL_ERROR, main
 
 DH = ["--fixture", "darboux-halphen"]
@@ -63,3 +64,37 @@ def test_help_exits_zero(capsys):
         main(["--help"])
     assert excinfo.value.code == 0
     assert capsys.readouterr().out.startswith("usage: schouten ")
+
+
+NOTHING_TO_CHECK = (
+    "error: nothing to check: name a check kind and its fields, "
+    "or give a document with check declarations\n"
+)
+
+
+def test_check_without_names_is_a_usage_error(capsys):
+    # a check that decides nothing must not pass
+    assert main(["--format", "json", "--fixture", "shear-fluid", "check"]) == EXIT_INTERNAL_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == NOTHING_TO_CHECK
+    assert captured.out == ""
+
+
+def test_document_without_checks_is_a_usage_error(capsys, tmp_path):
+    document = tmp_path / "no_checks.fld"
+    document.write_text("chart M { vars x, y }\nfield P = x*@x /\\ @y\n", encoding="utf-8")
+    assert main(["--format", "json", "--input", str(document), "check"]) == EXIT_INTERNAL_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == NOTHING_TO_CHECK
+    assert captured.out == ""
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def broken(depth):
+        raise ZeroDivisionError("forced")
+
+    monkeypatch.setattr(cli, "verify_fluid", broken)
+    assert main(["verify", "fluid"]) == EXIT_INTERNAL_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == "error: internal error: ZeroDivisionError: forced\n"
+    assert captured.out == ""

@@ -1,4 +1,5 @@
-"""Exact arithmetic: ring axioms, canonical forms, derivatives, evaluation."""
+"""Exact arithmetic: ring axioms, canonical forms, derivatives, substitution,
+and the stored form of coefficients."""
 
 import math
 from fractions import Fraction
@@ -12,9 +13,7 @@ from schouten.scalars import (
     PoleError,
     RationalFn,
     exact_div,
-    poly_arith,
     poly_gcd,
-    rational_fn_normalize,
 )
 
 NVARS = 3
@@ -44,25 +43,33 @@ Y = poly({(0, 1, 0): 1})
 ONE = MultiPoly.constant(NVARS, 1)
 
 
+def at(f, point):
+    """Value of a polynomial or rational function at a point, by substituting
+    every variable in turn."""
+    for var, value in enumerate(point):
+        f = f.substitute(var, value)
+    return f.constant_value()
+
+
 class TestPolyArithmetic:
     def test_cancellation(self):
-        assert poly_arith(X + Y, X - Y, "add") == X.scale(2)
+        assert (X + Y) + (X - Y) == X.scale(2)
 
     def test_absorbing_zero(self):
-        assert poly_arith(X, MultiPoly.zero(NVARS), "mul").is_zero()
+        assert (X * MultiPoly.zero(NVARS)).is_zero()
 
     def test_difference_of_squares(self):
         # expected value computed by hand, then cross-checked by evaluation
-        product = poly_arith(X + ONE, X - ONE, "mul")
+        product = (X + ONE) * (X - ONE)
         expected = poly({(2, 0, 0): 1, (0, 0, 0): -1})
         assert product == expected
         for pt in [(2, 0, 0), (Fraction(1, 2), 3, 1), (-5, 1, 7), (Fraction(-3, 4), 0, 0), (11, 2, 3)]:
             pt = tuple(Fraction(v) for v in pt)
-            assert product.evaluate(pt) == (pt[0] + 1) * (pt[0] - 1)
+            assert at(product, pt) == (pt[0] + 1) * (pt[0] - 1)
 
     def test_variable_count_mismatch(self):
         with pytest.raises(ValueError, match="variable-count mismatch"):
-            poly_arith(X, MultiPoly.constant(2, 1), "add")
+            X + MultiPoly.constant(2, 1)
 
     @given(polys(), polys(), polys())
     @settings(max_examples=60, deadline=None)
@@ -77,8 +84,8 @@ class TestPolyArithmetic:
     @settings(max_examples=40, deadline=None)
     def test_evaluation_is_ring_homomorphism(self, a, b):
         pt = (Fraction(2, 3), Fraction(-1), Fraction(5, 2))
-        assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
-        assert (a + b).evaluate(pt) == a.evaluate(pt) + b.evaluate(pt)
+        assert at(a * b, pt) == at(a, pt) * at(b, pt)
+        assert at(a + b, pt) == at(a, pt) + at(b, pt)
 
 
 class TestDerivative:
@@ -92,13 +99,13 @@ class TestDerivative:
     def test_quotient_rule_reciprocal(self):
         f = RationalFn(ONE, X)
         d = f.derivative(0)
-        assert d == rational_fn_normalize(-ONE, poly({(2, 0, 0): 1}))
+        assert d == RationalFn(-ONE, poly({(2, 0, 0): 1}))
         for pt in [(Fraction(1, 2), 0, 0), (3, 1, 1), (-2, 5, 7)]:
             pt = tuple(Fraction(v) for v in pt)
             eps = Fraction(1, 10**12)
             # symmetric difference quotient brackets the exact derivative
-            numeric = (f.evaluate((pt[0] + eps, *pt[1:])) - f.evaluate((pt[0] - eps, *pt[1:]))) / (2 * eps)
-            assert abs(numeric - d.evaluate(pt)) < Fraction(1, 10**10)
+            numeric = (at(f, (pt[0] + eps, *pt[1:])) - at(f, (pt[0] - eps, *pt[1:]))) / (2 * eps)
+            assert abs(numeric - at(d, pt)) < Fraction(1, 10**10)
 
     @given(polys(max_terms=4), polys(max_terms=4))
     @settings(max_examples=40, deadline=None)
@@ -119,25 +126,25 @@ class TestNormalization:
     def test_factor_cancellation(self):
         x2m1 = poly({(2, 0, 0): 1, (0, 0, 0): -1})
         xm1 = poly({(1, 0, 0): 1, (0, 0, 0): -1})
-        f = rational_fn_normalize(x2m1, xm1)
+        f = RationalFn(x2m1, xm1)
         assert f == RationalFn(X + ONE)
 
     def test_zero_numerator(self):
-        f = rational_fn_normalize(MultiPoly.zero(NVARS), X + Y)
+        f = RationalFn(MultiPoly.zero(NVARS), X + Y)
         assert f.is_zero()
         assert f.den == ONE
 
     def test_content_removal(self):
-        f = rational_fn_normalize(poly({(1, 0, 0): 2, (0, 0, 0): 2}), MultiPoly.constant(NVARS, 4))
+        f = RationalFn(poly({(1, 0, 0): 2, (0, 0, 0): 2}), MultiPoly.constant(NVARS, 4))
         assert f.num == X + ONE
         assert f.den == MultiPoly.constant(NVARS, 2)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            rational_fn_normalize(X, MultiPoly.zero(NVARS))
+            RationalFn(X, MultiPoly.zero(NVARS))
 
     def test_sign_normalization(self):
-        f = rational_fn_normalize(X, -Y)
+        f = RationalFn(X, -Y)
         assert f.den == Y
         assert f.num == -X
 
@@ -146,8 +153,8 @@ class TestNormalization:
     def test_normalize_idempotent(self, a, b):
         if b.is_zero():
             b = ONE
-        f = rational_fn_normalize(a, b)
-        again = rational_fn_normalize(f.num, f.den)
+        f = RationalFn(a, b)
+        again = RationalFn(f.num, f.den)
         assert f.num == again.num and f.den == again.den
 
     @given(polys(max_terms=3), polys(max_terms=2), polys(max_terms=2))
@@ -157,7 +164,7 @@ class TestNormalization:
             b = ONE
         if g.is_zero():
             g = ONE
-        assert rational_fn_normalize(a * g, b * g) == rational_fn_normalize(a, b)
+        assert RationalFn(a * g, b * g) == RationalFn(a, b)
 
 
 class TestGcd:
@@ -183,16 +190,16 @@ class TestGcd:
 class TestEvaluation:
     def test_simple(self):
         f = RationalFn(X + Y)
-        assert f.evaluate((Fraction(1), Fraction(2), Fraction(0))) == 3
+        assert at(f, (Fraction(1), Fraction(2), Fraction(0))) == 3
 
     def test_pole(self):
         f = RationalFn(ONE, X)
         with pytest.raises(PoleError):
-            f.evaluate((Fraction(0), Fraction(1), Fraction(1)))
+            at(f, (Fraction(0), Fraction(1), Fraction(1)))
 
     def test_square(self):
         f = RationalFn(poly({(2, 0, 0): 1, (0, 0, 0): -1}))
-        assert f.evaluate((Fraction(3), Fraction(0), Fraction(0))) == 8
+        assert at(f, (Fraction(3), Fraction(0), Fraction(0))) == 8
 
     def test_substitute(self):
         f = RationalFn(X * Y + X)
@@ -356,3 +363,84 @@ class TestExactDivision:
     def test_zero_divisor_raises(self):
         with pytest.raises(ZeroDivisionError):
             exact_div(X, MultiPoly.zero(NVARS))
+
+
+def assert_stored_form(p: MultiPoly):
+    """Every coefficient is a nonzero int, or a Fraction that is not integral."""
+    for c in p.terms.values():
+        assert (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator != 1), c
+
+
+def to_expr(p: MultiPoly):
+    return sympy.Add(
+        *(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(g**k for g, k in zip(SYMPY_GENS, e)))
+            for e, c in p.terms.items()
+        )
+    )
+
+
+def assert_equals_sympy(p: MultiPoly, expected):
+    assert_stored_form(p)
+    assert sympy.expand(to_expr(p) - expected) == 0
+
+
+class TestCoefficientInvariant:
+    """Results of the kernel's arithmetic are stored canonically and agree with sympy."""
+
+    @given(polys(max_terms=4), polys(max_terms=4), fractions, st.integers(0, NVARS - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_ring_and_calculus(self, a, b, k, var):
+        A, B, x = to_expr(a), to_expr(b), SYMPY_GENS[var]
+        assert_stored_form(a)
+        assert_equals_sympy(a + b, A + B)
+        assert_equals_sympy(a - b, A - B)
+        assert_equals_sympy(a * b, A * B)
+        assert_equals_sympy(a.scale(k), A * k)
+        assert_equals_sympy(a.derivative(var), sympy.diff(A, x))
+        assert_equals_sympy(a.substitute(var, k), A.subs(x, sympy.Rational(k.numerator, k.denominator)))
+
+    @given(polys(max_terms=4), polys(max_terms=3))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_division(self, q, d):
+        assume(not d.is_zero())
+        product = to_expr(q * d)
+        expected, remainder = sympy.div(product, to_expr(d), *SYMPY_GENS)
+        assert remainder == 0
+        assert_equals_sympy(exact_div(q * d, d), expected)
+
+    @given(polys(max_terms=2), polys(max_terms=2), polys(max_terms=2))
+    @settings(max_examples=60, deadline=None)
+    def test_gcd(self, a, b, g):
+        p, q = a * g, b * g
+        result = poly_gcd(p, q)
+        assert_stored_form(result)
+        expected = sympy.gcd(to_expr(p), to_expr(q))
+        if result.is_zero():
+            assert expected == 0
+        else:
+            # equal up to a nonzero rational unit
+            assert not sympy.cancel(to_expr(result) / expected).free_symbols
+
+    def test_public_constructor_converts_integral_fractions(self):
+        p = MultiPoly(NVARS, {(1, 0, 0): Fraction(4, 2), (0, 0, 0): Fraction(1, 3), (0, 1, 0): Fraction(0)})
+        assert p.terms == {(1, 0, 0): 2, (0, 0, 0): Fraction(1, 3)}
+        assert_stored_form(p)
+        assert_stored_form(p.scale(3))
+        assert_stored_form(MultiPoly.constant(NVARS, Fraction(6, 3)))
+
+    def test_public_constructor_rejects_floats(self):
+        with pytest.raises(TypeError, match="expected int or Fraction, got float"):
+            MultiPoly(NVARS, {(0, 0, 0): 0.5})
+
+    def test_constant_values_are_fractions(self):
+        # an int / int on stored coefficients would return a float here
+        for value in [
+            MultiPoly.constant(NVARS, 3).constant_value(),
+            MultiPoly.zero(NVARS).constant_value(),
+            RationalFn(ONE, MultiPoly.constant(NVARS, 2)).constant_value(),
+            RationalFn(MultiPoly.constant(NVARS, 6), MultiPoly.constant(NVARS, 3)).constant_value(),
+        ]:
+            assert type(value) is Fraction
+        assert RationalFn(ONE, MultiPoly.constant(NVARS, 2)).constant_value() == Fraction(1, 2)
