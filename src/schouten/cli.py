@@ -8,11 +8,9 @@ failure, 3 on internal or usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
 from . import __version__
@@ -43,29 +41,41 @@ EXIT_PARSE_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
 
 
-@dataclass(frozen=True)
 class RunConfig:
-    command: str
-    args: tuple[str, ...] = ()
-    input_path: str | None = None
-    fixture: str | None = None
-    depth: int = 4
-    seed: int = 0
-    format: str = "text"
-    output: str | None = None
+    __slots__ = ("command", "args", "input_path", "fixture", "depth", "seed", "format", "output")
 
-    def __post_init__(self):
-        if self.depth < 1:
+    def __init__(
+        self,
+        command: str,
+        args: tuple[str, ...] = (),
+        input_path: str | None = None,
+        fixture: str | None = None,
+        depth: int = 4,
+        seed: int = 0,
+        format: str = "text",
+        output: str | None = None,
+    ):
+        if depth < 1:
             raise ValueError("depth must be >= 1")
+        self.command = command
+        self.args = args
+        self.input_path = input_path
+        self.fixture = fixture
+        self.depth = depth
+        self.seed = seed
+        self.format = format
+        self.output = output
 
 
-@dataclass
 class ReportDocument:
-    version: str
-    seed: int
-    checks: list[CheckReport] = dataclass_field(default_factory=list)
-    timings_ms: dict[str, int] = dataclass_field(default_factory=dict)
-    printed: list[str] = dataclass_field(default_factory=list)
+    __slots__ = ("version", "seed", "checks", "timings_ms", "printed")
+
+    def __init__(self, version: str, seed: int):
+        self.version = version
+        self.seed = seed
+        self.checks: list[CheckReport] = []
+        self.timings_ms: dict[str, int] = {}
+        self.printed: list[str] = []
 
     @property
     def passed(self) -> bool:
@@ -81,6 +91,8 @@ def emit_json(report: ReportDocument) -> str:
     Per-check timing is reported as 0 so that reruns are byte-identical;
     wall-clock timings appear in the text format only.
     """
+    import json  # only the json format needs it
+
     payload = {
         "version": report.version,
         "seed": report.seed,
@@ -290,7 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--fixture", choices=FIXTURE_NAMES, help="use a named built-in fixture"
     )
-    parser.add_argument("--depth", type=int, default=4, help="hierarchy depth (default 4)")
+    parser.add_argument(
+        "--depth",
+        type=int,
+        default=4,
+        help="hierarchy depth for `hierarchy` and `verify fluid` (default 4); "
+        "`verify darboux-halphen` ignores it",
+    )
     parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--output", help="write the report to a file")

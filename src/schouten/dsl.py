@@ -30,7 +30,6 @@ scanning resumes at the next declaration keyword.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dataclass_field
 
 from .fields import Chart, DifferentialForm, GradedField, MultiVectorField, wedge
 from .render import format_field, format_scalar
@@ -40,30 +39,36 @@ from .structures import CHECK_KINDS
 DECL_KEYWORDS = ("chart", "scalar", "field", "form", "check")
 
 
-@dataclass(frozen=True)
 class ParseDiagnostic:
-    line: int
-    col: int
-    message: str
-    severity: str = "error"
+    __slots__ = ("line", "col", "message", "severity")
+
+    def __init__(self, line: int, col: int, message: str, severity: str = "error"):
+        self.line = line
+        self.col = col
+        self.message = message
+        self.severity = severity
 
     def render(self, filename: str = "<input>") -> str:
         return f"{filename}:{self.line}:{self.col}: {self.severity}: {self.message}"
 
 
-@dataclass(frozen=True)
 class Declaration:
-    kind: str  # chart | scalar | field | form | check
-    name: str  # check declarations use the check kind as name qualifier
-    value: object
-    line: int
+    __slots__ = ("kind", "name", "value", "line")
+
+    def __init__(self, kind: str, name: str, value: object, line: int):
+        self.kind = kind  # chart | scalar | field | form | check
+        self.name = name  # check declarations use the check kind as name qualifier
+        self.value = value
+        self.line = line
 
 
-@dataclass
 class SourceDocument:
-    declarations: list[Declaration] = dataclass_field(default_factory=list)
-    diagnostics: list[ParseDiagnostic] = dataclass_field(default_factory=list)
-    env: dict = dataclass_field(default_factory=dict)
+    __slots__ = ("declarations", "diagnostics", "env")
+
+    def __init__(self):
+        self.declarations: list[Declaration] = []
+        self.diagnostics: list[ParseDiagnostic] = []
+        self.env: dict = {}
 
     @property
     def ok(self) -> bool:
@@ -98,12 +103,14 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def _tokenize(text: str) -> tuple[list[_Token], list[ParseDiagnostic]]:

@@ -19,7 +19,6 @@ by dedicated tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -30,29 +29,41 @@ class ChartMismatchError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Chart:
     """Ordered variable list, optional distinguished time variable, volume density.
 
     The volume form of the chart is density * dx_0 ^ ... ^ dx_{n-1} in
-    declaration order (time first by convention when present).
+    declaration order (time first by convention when present).  Charts are
+    equal when all three agree.
     """
 
-    variables: tuple[str, ...]
-    time_index: int | None = None
-    volume_density: RationalFn | None = None
+    __slots__ = ("variables", "time_index", "volume_density")
 
-    def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
-            raise ValueError(f"duplicate variable names in {self.variables}")
-        if self.time_index is not None and not 0 <= self.time_index < len(self.variables):
+    def __init__(
+        self,
+        variables: tuple[str, ...],
+        time_index: int | None = None,
+        volume_density: RationalFn | None = None,
+    ):
+        if len(set(variables)) != len(variables):
+            raise ValueError(f"duplicate variable names in {variables}")
+        if time_index is not None and not 0 <= time_index < len(variables):
             raise ValueError("time index out of bounds")
-        if self.volume_density is None:
-            object.__setattr__(
-                self, "volume_density", RationalFn.constant(len(self.variables), 1)
-            )
-        elif self.volume_density.is_zero():
+        if volume_density is None:
+            volume_density = RationalFn.constant(len(variables), 1)
+        elif volume_density.is_zero():
             raise ValueError("volume density must be nonzero")
+        self.variables = variables
+        self.time_index = time_index
+        self.volume_density = volume_density
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is Chart
+            and self.variables == other.variables
+            and self.time_index == other.time_index
+            and self.volume_density == other.volume_density
+        )
 
     @property
     def dim(self) -> int:

@@ -14,7 +14,6 @@ oracle for every shipped fixture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -65,7 +64,6 @@ class DegenerateStructureError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Vector3Bridge:
     """Dictionaries between 3-component fields and 1-/2-forms on R^3.
 
@@ -74,11 +72,12 @@ class Vector3Bridge:
     chart has it, is a parameter.
     """
 
-    chart: Chart
+    __slots__ = ("chart",)
 
-    def __post_init__(self):
-        if len(self.chart.spatial_indices) != 3:
+    def __init__(self, chart: Chart):
+        if len(chart.spatial_indices) != 3:
             raise ValueError("Vector3Bridge needs exactly three spatial variables")
+        self.chart = chart
 
     @property
     def idx(self) -> tuple[int, int, int]:
@@ -431,24 +430,43 @@ def prop5_pipeline(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FluidData:
     """A velocity field with a frozen-in field and the potentials solving the
     constraint system, together with the derived symplectic data."""
 
-    chart: Chart
-    v: MultiVectorField
-    B: MultiVectorField
-    E: MultiVectorField
-    phi: RationalFn
-    rho: RationalFn
-    A: MultiVectorField
-    psi: RationalFn
-    chi: RationalFn
-    h: RationalFn
-    f_coeffs: tuple[Fraction, ...]
-    theta: DifferentialForm
-    Omega: DifferentialForm
+    __slots__ = (
+        "chart", "v", "B", "E", "phi", "rho", "A", "psi", "chi", "h", "f_coeffs", "theta", "Omega"
+    )
+
+    def __init__(
+        self,
+        chart: Chart,
+        v: MultiVectorField,
+        B: MultiVectorField,
+        E: MultiVectorField,
+        phi: RationalFn,
+        rho: RationalFn,
+        A: MultiVectorField,
+        psi: RationalFn,
+        chi: RationalFn,
+        h: RationalFn,
+        f_coeffs: tuple[Fraction, ...],
+        theta: DifferentialForm,
+        Omega: DifferentialForm,
+    ):
+        self.chart = chart
+        self.v = v
+        self.B = B
+        self.E = E
+        self.phi = phi
+        self.rho = rho
+        self.A = A
+        self.psi = psi
+        self.chi = chi
+        self.h = h
+        self.f_coeffs = f_coeffs
+        self.theta = theta
+        self.Omega = Omega
 
     @property
     def bridge(self) -> Vector3Bridge:

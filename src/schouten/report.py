@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .render import format_field, format_scalar
 from .scalars import RationalFn
 
 
-@dataclass(frozen=True)
 class CheckReport:
     """Outcome of one identity check.
 
@@ -17,13 +14,14 @@ class CheckReport:
     boolean.
     """
 
-    name: str
-    passed: bool
-    residual: str | None = None
+    __slots__ = ("name", "passed", "residual")
 
-    def __post_init__(self):
-        if self.passed and self.residual is not None:
+    def __init__(self, name: str, passed: bool, residual: str | None = None):
+        if passed and residual is not None:
             raise ValueError("a passing check cannot carry a residual")
+        self.name = name
+        self.passed = passed
+        self.residual = residual
 
     def __bool__(self) -> bool:
         return self.passed

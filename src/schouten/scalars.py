@@ -192,13 +192,15 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        if len(self.terms) == 1:
+            ((exps, coeff),) = self.terms.items()
+            return _poly(self.nvars, {tuple(e * n for e in exps): _coefficient(coeff**n)})
+        # repeated multiplication by the base: for a dense multivariate base
+        # it beats squaring, whose last product takes two large powers
+        # (Fateman, Stud. Appl. Math. 53, 1974)
         result = MultiPoly.constant(self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        for _ in range(n):
+            result = result * self
         return result
 
     def __eq__(self, other) -> bool:
@@ -363,9 +365,11 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         return _make_primitive(q)
     if q.is_zero():
         return _make_primitive(p)
-    if p.is_constant() or q.is_constant():
-        return MultiPoly.constant(p.nvars, 1)
     p._check_compatible(q)
+    if len(p.terms) == 1 or len(q.terms) == 1:
+        # the divisors of a monomial are monomials, and x^m divides f iff m
+        # is at most every exponent vector of f, componentwise
+        return _poly(p.nvars, {tuple(map(min, *p.terms, *q.terms)): 1})
     var = max(
         i
         for i in range(p.nvars)
@@ -409,9 +413,14 @@ class RationalFn:
     Canonical form: gcd(num, den) is a unit; numerator and denominator have
     integer coefficients whose joint content is 1; the denominator's leading
     coefficient under graded lex order is positive.  Zero is 0/1.
+
+    A value keeps its partial derivatives, once asked for, in the private
+    slot `_derivatives` (variable index -> derivative), so it is
+    differentiated along each variable at most once while it lives.  The
+    slot is not part of the value: `==`, `hash` and `repr` ignore it.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_derivatives")
 
     def __init__(self, num: MultiPoly, den: MultiPoly | None = None, *, _canonical=False):
         if den is None:
@@ -536,7 +545,17 @@ class RationalFn:
     # -- calculus -------------------------------------------------------
 
     def derivative(self, var: int) -> "RationalFn":
-        """Exact partial derivative (quotient rule)."""
+        """Exact partial derivative, computed once per variable."""
+        try:
+            memo = self._derivatives
+        except AttributeError:
+            memo = self._derivatives = {}
+        result = memo.get(var)
+        if result is None:
+            result = memo[var] = self._quotient_rule(var)
+        return result
+
+    def _quotient_rule(self, var: int) -> "RationalFn":
         if self.is_polynomial():
             return RationalFn(
                 self.num.derivative(var), self.den, _canonical=_is_one(self.den)

@@ -15,7 +15,6 @@ modular (curl) vector field of P.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .calculus import (
@@ -79,20 +78,20 @@ def conserved_residual(v: MultiVectorField, h: RationalFn) -> RationalFn:
     return suspension(v).apply_to_function(h)
 
 
-@dataclass(frozen=True)
 class ExtendedStructure:
     """A bivector B ^ dt + E assembled from time-dependent data on M."""
 
-    chart: Chart
-    B: MultiVectorField
-    E: MultiVectorField
+    __slots__ = ("chart", "B", "E")
 
-    def __post_init__(self):
-        t = self.chart.require_time()
-        if self.B.grade != 1 or self.E.grade != 2:
+    def __init__(self, chart: Chart, B: MultiVectorField, E: MultiVectorField):
+        t = chart.require_time()
+        if B.grade != 1 or E.grade != 2:
             raise ValueError("need grade-1 B and grade-2 E")
-        if self.B.has_component(t) or self.E.has_component(t):
+        if B.has_component(t) or E.has_component(t):
             raise ValueError("B and E must have no dt component")
+        self.chart = chart
+        self.B = B
+        self.E = E
 
     @property
     def P(self) -> MultiVectorField:
@@ -193,16 +192,16 @@ def invariance_conditions(
     )
 
 
-@dataclass(frozen=True)
 class JacobiPair:
     """Bivector/vector pair subject to [E,E] = 2 B ^ E, [E,B] = 0."""
 
-    E: MultiVectorField
-    B: MultiVectorField
+    __slots__ = ("E", "B")
 
-    def __post_init__(self):
-        if self.E.grade != 2 or self.B.grade != 1:
+    def __init__(self, E: MultiVectorField, B: MultiVectorField):
+        if E.grade != 2 or B.grade != 1:
             raise ValueError("JacobiPair needs grade-2 E and grade-1 B")
+        self.E = E
+        self.B = B
 
 
 def jacobi_structure_check(j: JacobiPair, name: str = "jacobi-structure") -> CheckReport:
@@ -325,13 +324,15 @@ def characteristic_curl(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Sl2Triple:
     """Vector fields subject to [v,u] = -2v, [w,u] = 2w, [v,w] = u."""
 
-    v: MultiVectorField
-    u: MultiVectorField
-    w: MultiVectorField
+    __slots__ = ("v", "u", "w")
+
+    def __init__(self, v: MultiVectorField, u: MultiVectorField, w: MultiVectorField):
+        self.v = v
+        self.u = u
+        self.w = w
 
     @property
     def chart(self) -> Chart:

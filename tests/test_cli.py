@@ -1,11 +1,18 @@
 """CLI failure classes map to the documented exit codes, never to a traceback."""
 
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from schouten import cli
-from schouten.cli import EXIT_INTERNAL_ERROR, main
+from schouten.cli import EXIT_INTERNAL_ERROR, EXIT_PASS, main
 
 DH = ["--fixture", "darboux-halphen"]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.mark.parametrize(
@@ -98,3 +105,28 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == "error: internal error: ZeroDivisionError: forced\n"
     assert captured.out == ""
+
+
+def test_dense_power_is_decided_quickly(capsys, tmp_path):
+    # the power has 46,376 terms; computed by repeated squaring, it took 18 s
+    document = tmp_path / "power.fld"
+    document.write_text(
+        "chart M { vars t*, x, y, z }\n"
+        "scalar s = (x + y + z + t + 1)^30\n"
+        "field P = s*(@x /\\ @y)\n"
+        "check poisson P\n",
+        encoding="utf-8",
+    )
+    started = time.perf_counter()
+    assert main(["--input", str(document), "check"]) == EXIT_PASS
+    assert time.perf_counter() - started < 10
+    assert capsys.readouterr().out.endswith("1 checks: all checks passed\n")
+
+
+def test_import_leaves_out_dataclasses():
+    # start-up time: every command pays for each module the CLI imports
+    code = "import sys, schouten.cli; print('dataclasses' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"

@@ -3,6 +3,7 @@ and the stored form of coefficients."""
 
 import math
 from fractions import Fraction
+from operator import mul
 
 import pytest
 import sympy
@@ -86,6 +87,15 @@ class TestPolyArithmetic:
         pt = (Fraction(2, 3), Fraction(-1), Fraction(5, 2))
         assert at(a * b, pt) == at(a, pt) * at(b, pt)
         assert at(a + b, pt) == at(a, pt) + at(b, pt)
+
+    @given(polys(max_terms=4), st.integers(0, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_power_is_repeated_product(self, p, k):
+        expected = ONE
+        for _ in range(k):
+            expected = expected * p
+        assert p**k == expected
+        assert_stored_form(p**k)
 
 
 class TestDerivative:
@@ -347,6 +357,34 @@ class TestFastPaths:
         assert (half_x + half_x).den == ONE
 
 
+def fresh_copy(f: RationalFn) -> RationalFn:
+    """An equal value built anew, so none of f's memoised derivatives carry over."""
+    return RationalFn(MultiPoly(NVARS, f.num.terms), MultiPoly(NVARS, f.den.terms))
+
+
+class TestDerivativeMemo:
+    """A value keeps its partial derivatives, and nothing else sees them."""
+
+    @given(rational_fns(split=True))
+    @settings(max_examples=80, deadline=None)
+    def test_memoised_derivative_equals_a_fresh_one(self, f):
+        for var in range(NVARS):
+            first = f.derivative(var)
+            assert f.derivative(var) is first
+            assert first == fresh_copy(f).derivative(var)
+        assert f.derivative(0).derivative(1) == fresh_copy(f).derivative(1).derivative(0)
+
+    @given(rational_fns(split=True))
+    @settings(max_examples=40, deadline=None)
+    def test_memo_leaves_equality_hash_and_repr(self, f):
+        g = fresh_copy(f)
+        before = repr(f), hash(f)
+        for var in range(NVARS):
+            f.derivative(var)
+        assert (repr(f), hash(f)) == before == (repr(g), hash(g))
+        assert f == g and g == f
+
+
 class TestExactDivision:
     @given(polys(max_terms=4), polys(max_terms=4))
     @settings(max_examples=80, deadline=None)
@@ -384,6 +422,35 @@ def to_expr(p: MultiPoly):
 def assert_equals_sympy(p: MultiPoly, expected):
     assert_stored_form(p)
     assert sympy.expand(to_expr(p) - expected) == 0
+
+
+gcd_partners = st.one_of(
+    polys(max_terms=4),
+    monomials,
+    st.builds(mul, monomials, polys(max_terms=4)),
+    fractions.map(lambda c: MultiPoly.constant(NVARS, c)),
+    st.just(MultiPoly.zero(NVARS)),
+)
+
+
+class TestMonomialGcd:
+    """The gcd with a one-term argument is a monomial in closed form."""
+
+    @given(monomials, gcd_partners, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sympy(self, m, f, swap):
+        p, q = (f, m) if swap else (m, f)
+        result = poly_gcd(p, q)
+        assert_stored_form(result)
+        assert len(result.terms) == 1
+        ratio = sympy.cancel(to_expr(result) / sympy.gcd(to_expr(p), to_expr(q)))
+        assert ratio != 0 and not ratio.free_symbols  # equal up to a unit
+
+    def test_examples(self):
+        x2y = poly({(2, 1, 0): 3})
+        assert poly_gcd(x2y, poly({(1, 3, 0): 2, (3, 0, 1): -5})) == X
+        assert poly_gcd(poly({(0, 0, 0): 7}), x2y) == ONE
+        assert poly_gcd(MultiPoly.zero(NVARS), x2y) == poly({(2, 1, 0): 1})
 
 
 class TestCoefficientInvariant:
